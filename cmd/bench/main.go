@@ -611,7 +611,7 @@ func run(args []string) error {
 		return err
 	}
 	rep.LargeN = append(rep.LargeN, lne)
-	fmt.Printf("%-16s n=%-11d trials=%-3d kernel=%-14s wall %6.2fs  %.3f ns/interaction  total=%s  identical=%v\n",
+	fmt.Printf("%-16s n=%-11d trials=%-3d kernel=%-14s wall %6.2fs  %.4g ns/interaction  total=%s  identical=%v\n",
 		lne.Workload, lne.N, lne.Trials, lne.Kernel, float64(lne.WallNanos)/1e9,
 		lne.NsPerInteraction, lne.Interactions, lne.Identical)
 

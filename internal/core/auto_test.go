@@ -282,6 +282,66 @@ func TestAutoWindowLoopAllocFree(t *testing.T) {
 			t.Errorf("kernel %v: %.1f allocs per reset+run, want 0", kern, avg)
 		}
 	}
+	// The auto kernel's tree windows (small n, many opinions) — including
+	// the count reset after a categorical window — must be allocation-free
+	// too.
+	small := mustConfig(t, uniformSupport(4000, 64), 0)
+	src := rng.New(5)
+	s := newSim(t, small, 5, WithKernel(KernelAuto(0)))
+	if tree, other := countTreeWindows(s, nil); tree == 0 || other == 0 {
+		t.Fatalf("%d tree and %d other windows, want both", tree, other)
+	}
+	avg := testing.AllocsPerRun(10, func() {
+		src.Reseed(9)
+		if err := s.Reset(small, src); err != nil {
+			t.Fatal(err)
+		}
+		s.Run(NoBudget)
+	})
+	if avg != 0 {
+		t.Errorf("tree windows: %.1f allocs per reset+run, want 0", avg)
+	}
+}
+
+// uniformSupport splits n decided agents evenly over k opinions.
+func uniformSupport(n int64, k int) []int64 {
+	support := make([]int64, k)
+	for j := range support {
+		support[j] = n / int64(k)
+	}
+	support[0] += n % int64(k)
+	return support
+}
+
+// countTreeWindows runs s to absorption, passing every event to obs (when
+// non-nil), and counts the windows the auto kernel's run loop sends down
+// the tree path (and the other windows), predicting each window's path from
+// the pre-window state the way the run loop does.
+func countTreeWindows(s *Simulator, obs Observer) (tree, other int) {
+	k := int64(s.K())
+	isTree := func() bool {
+		w := s.productiveWeight()
+		if w.IsZero() {
+			return false
+		}
+		m := s.batchWindow(w)
+		return m >= minAutoWindow && m*autoTreeDivisor < k
+	}
+	next := isTree()
+	s.RunObserved(NoBudget, func(s *Simulator, ev Event) {
+		if ev.Kind == EventBatch {
+			if next {
+				tree++
+			} else {
+				other++
+			}
+		}
+		if obs != nil {
+			obs(s, ev)
+		}
+		next = isTree()
+	})
+	return tree, other
 }
 
 func TestResetShrinksAutoScratch(t *testing.T) {
@@ -309,6 +369,47 @@ func TestResetShrinksAutoScratch(t *testing.T) {
 	fresh := newSim(t, small, 4, WithKernel(KernelAuto(0)))
 	if want := fresh.Run(NoBudget); got != want {
 		t.Fatalf("reset-shrunk run %+v != fresh %+v", got, want)
+	}
+
+	// The tree path: a many-opinions run leaves categorical window counts
+	// behind in the scratch, and the reset-shrunk simulator's tree windows
+	// must not count any of them — every event, not just the result, must
+	// match a fresh simulator's.
+	for _, ks := range [][2]int{{128, 32}, {64, 40}} {
+		largeT := mustConfig(t, uniformSupport(20000, ks[0]), 0)
+		smallT := mustConfig(t, uniformSupport(1000, ks[1]), 0)
+		s := newSim(t, largeT, 3, WithKernel(KernelAuto(0)))
+		if _, other := countTreeWindows(s, nil); other == 0 {
+			t.Fatalf("k=%d: no categorical window ran before the reset", ks[0])
+		}
+		if err := s.Reset(smallT, rng.New(4)); err != nil {
+			t.Fatal(err)
+		}
+		fresh := newSim(t, smallT, 4, WithKernel(KernelAuto(0)))
+		var want []Event
+		fresh.RunObserved(NoBudget, func(_ *Simulator, ev Event) { want = append(want, ev) })
+		var got []Event
+		treeWindows, _ := countTreeWindows(s, func(s *Simulator, ev Event) {
+			got = append(got, ev)
+			var total int64 = s.Undecided()
+			for i := 0; i < s.K(); i++ {
+				total += s.Support(i)
+			}
+			if total != smallT.N() {
+				t.Fatalf("k=%d→%d: population not conserved: %d agents, want %d", ks[0], ks[1], total, smallT.N())
+			}
+		})
+		if treeWindows == 0 {
+			t.Fatalf("k=%d→%d: no tree window ran after the reset", ks[0], ks[1])
+		}
+		if len(got) != len(want) {
+			t.Fatalf("k=%d→%d: %d events after reset, fresh run %d", ks[0], ks[1], len(got), len(want))
+		}
+		for i := range got {
+			if got[i] != want[i] {
+				t.Fatalf("k=%d→%d: event %d after reset %+v, fresh %+v", ks[0], ks[1], i, got[i], want[i])
+			}
+		}
 	}
 }
 

@@ -69,13 +69,20 @@ func KernelBatched(tol float64) Kernel {
 //
 //   - m < minAutoWindow: exact stepping (the window law degenerates to the
 //     single-event law there anyway, and per-window setup would dominate);
+//   - m < k/autoTreeDivisor: tree windows — each of the m draws descends the
+//     frozen Fenwick tree in O(log k) and the window is applied to the
+//     opinions it touched only, O(m·log k) in all with no O(k) pass;
 //   - m < autoCategoricalFactor·k: per-event categorical draws against the
-//     frozen cumulative weights — O(k) setup plus O(log k) per event, with a
-//     single negative-binomial span draw for the whole window, which beats
-//     both exact stepping (one geometric per event) and binomial chaining
-//     (whose 2k inversion setups dominate small windows);
+//     frozen cumulative weights — O(k) setup plus O(1) expected per event
+//     through a guide table, with a single negative-binomial span draw for
+//     the whole window, which beats both exact stepping (one geometric per
+//     event) and binomial chaining (whose 2k inversion setups dominate
+//     small windows);
 //   - larger m: the chained-binomial batch of KernelBatched, whose O(k)
 //     cost is independent of m.
+//
+// Tree and categorical windows resolve every draw to the same category, so
+// the first cut-over moves cost, never the random stream.
 //
 // The strategy choice depends only on (m, k), never on wall-clock, so runs
 // remain deterministic in the seed. Small-n fleet workloads — where windows
@@ -165,13 +172,28 @@ func (s *Simulator) SetKernel(k Kernel) { s.kernel = k }
 // far infeasible windows can halve before the exact law takes over.
 const minBatchWindow = 32
 
-// minAutoWindow is the auto kernel's exact-stepping floor. The categorical
-// window sampler's per-window setup is a single O(k) cumulative-weight pass
-// and one negative-binomial span draw, so batching pays off at much smaller
-// windows than the chained-binomial sampler's minBatchWindow; below this
-// floor (and whenever feasibility halving drives a window under it) the
-// auto kernel steps exactly.
+// minAutoWindow is the auto kernel's exact-stepping floor. The tree and
+// categorical window samplers' per-window setup is at most a single O(k)
+// cumulative-weight pass and one negative-binomial span draw, so batching
+// pays off at much smaller windows than the chained-binomial sampler's
+// minBatchWindow; below this floor (and whenever feasibility halving drives
+// a window under it) the auto kernel steps exactly.
 const minAutoWindow = 8
+
+// autoTreeDivisor is the auto kernel's tree-window boundary: windows of
+// fewer than k/autoTreeDivisor events draw against the frozen Fenwick tree
+// (sampleWindowTree), larger ones build the categorical sampler's
+// cumulative weights and guide table. A tree draw costs an O(log k)
+// descent where a categorical draw costs a guide lookup, but a tree window
+// skips the O(k) cumulative build, guide build, feasibility scan and bulk
+// apply, so it wins below a window size proportional to k. BenchmarkWindow
+// puts the crossover (median of five runs, n = 10⁸, on a 2-core Intel Xeon
+// VM) between m = 8 and 16 at k = 8, at m ≈ 16 for k = 32 (tree/categorical
+// cost ratio 0.55 at m = 8, 0.99 at m = 16, 1.37 at m = 32) and between
+// m = 64 and 128 for k = 128 (0.88 at m = 64, 1.57 at m = 128). Both
+// samplers resolve each draw to the same category, so the boundary moves
+// cost only — never the random stream.
+const autoTreeDivisor = 2
 
 // autoCategoricalFactor is the auto kernel's strategy boundary in units of
 // the opinion count: windows of fewer than autoCategoricalFactor·k events
@@ -243,30 +265,28 @@ func (s *Simulator) stepSkip(w, budget u128.U128) (Event, bool) {
 // resliced to the live k or stale trailing weights would leak window events
 // onto phantom opinions.
 func (s *Simulator) ensureBatchScratch(k int) {
-	// The categorical sampler's cumulative array is padded to a power of
-	// two strictly greater than 2k, so at least one trailing slot holds the
-	// absorbing u128.Max sentinel: the guide build's forward scan must stop
-	// inside the array even for buckets whose smallest threshold is >= W
-	// (the threshold-space bucketing reaches such buckets; no draw does).
-	// The guide table carries two buckets per cumulative slot, which keeps
-	// the expected guide scan under half a step so the scan branch stays
-	// predictable.
-	cumLen := 1
-	for cumLen <= 2*k {
-		cumLen <<= 1
+	// The guide table carries two buckets per slot of the smallest power of
+	// two strictly greater than 2k, which keeps the categorical sampler's
+	// expected guide scan under half a step so the scan branch stays
+	// predictable. It is also at least k long, so the tree sampler keeps
+	// its list of touched opinions in it.
+	buckets := 2
+	for buckets <= 4*k {
+		buckets <<= 1
 	}
-	if cap(s.batchVals) < k || cap(s.batchCum) < cumLen {
+	if cap(s.batchVals) < k || cap(s.batchGuide) < buckets {
 		s.batchVals = make([]int64, k)
 		s.batchCounts = make([]int64, 2*k)
 		s.batchWeights = make([]float64, k)
-		s.batchCum = make([]u128.U128, cumLen)
-		s.batchGuide = make([]int32, 2*cumLen)
+		s.batchCum = make([]u128.U128, 2*k)
+		s.batchGuide = make([]int32, buckets)
+		s.batchClean = true
 	}
 	s.batchVals = s.batchVals[:k]
 	s.batchCounts = s.batchCounts[:2*k]
 	s.batchWeights = s.batchWeights[:k]
-	s.batchCum = s.batchCum[:cumLen]
-	s.batchGuide = s.batchGuide[:2*cumLen]
+	s.batchCum = s.batchCum[:2*k]
+	s.batchGuide = s.batchGuide[:buckets]
 }
 
 // sampleWindowChained draws the per-opinion adopt/undecide counts of one
@@ -280,6 +300,7 @@ func (s *Simulator) ensureBatchScratch(k int) {
 // total.
 func (s *Simulator) sampleWindowChained(vals []int64, m, d int64, pAdopt float64) int64 {
 	k := len(vals)
+	s.batchClean = false
 	adopts := s.src.Binomial(m, pAdopt)
 	for j, x := range vals {
 		s.batchWeights[j] = float64(x)
@@ -294,54 +315,33 @@ func (s *Simulator) sampleWindowChained(vals []int64, m, d int64, pAdopt float64
 // sampleWindowChained by m individual categorical draws against the exact
 // integer cumulative weights of the 2k event categories (adopt opinion j
 // with weight u·xⱼ, undecide opinion i with weight xᵢ·(D−xᵢ)) — the same
-// multinomial distribution, materialized event by event. Cost is one O(k)
-// cumulative build plus O(log k) per event, which undercuts the chained
-// sampler's 2k inversion setups whenever m is small relative to k. It fills
-// batchCounts from the pre-window supports vals and returns the adopt
-// total.
+// multinomial distribution, materialized event by event. Per window it
+// builds the 2k u128 cumulative weights (the undecide half in one bulk
+// dynamics call) and a guide table of about two buckets per category
+// (buildGuide); each draw is then one uniform, one table load and an
+// expected sub-step scan. That O(k) setup undercuts the chained sampler's
+// 2k inversion setups whenever m is small relative to k, and is itself
+// undercut by the tree sampler for m below about k/2 (see
+// autoTreeDivisor). It fills batchCounts from the pre-window supports vals
+// and returns the adopt total.
 func (s *Simulator) sampleWindowCategorical(vals []int64, w u128.U128, m, d int64) int64 {
 	k := len(vals)
 	cum := s.batchCum
 	counts := s.batchCounts
+	s.batchClean = false
+	clear(counts)
 	var c u128.U128
 	for j, x := range vals {
 		c = c.Add(u128.Mul64(uint64(s.u), uint64(x)))
 		cum[j] = c
-		counts[j] = 0
 	}
-	for j, x := range vals {
-		c = c.Add(s.dyn.undecideWeightU(s, j, x, d))
-		cum[k+j] = c
-		counts[k+j] = 0
-	}
-	// c == W by construction; thresholds are drawn in [0, W). The power-of-
-	// two padding is an absorbing sentinel a draw can never reach.
-	for j := 2 * k; j < len(cum); j++ {
-		cum[j] = u128.Max
-	}
-	// Guide table (Chen's method), bucketed by a threshold's top bits within
-	// the draw space [0, w): with lz = w's leading-zero count, a threshold
-	// shifted left by lz normalizes to the top of the 128-bit range, and its
-	// top gb bits select the bucket. Bucket g therefore covers thresholds in
-	// [g·2^(128−gb−lz), (g+1)·2^(128−gb−lz)), and guide[g] is the first
-	// category index a threshold in that bucket can select — correct as a
-	// scan start because thresholds grow with the bucket index. A draw then
-	// begins its linear scan at its bucket's entry, which leaves O(1)
-	// expected scan steps because the bucket count matches the category
-	// count. The build is one merge pass: the category pointer only moves
-	// forward.
+	s.dyn.cumUndecide(s, vals, d, c, cum[k:])
+	// cum[2k−1] == W by construction and thresholds are drawn in [0, W), so
+	// every scan stops inside the array.
 	guide := s.batchGuide
 	gb := uint(bits.Len(uint(len(guide)) - 1)) // log₂ of the bucket count
 	lz := uint(128 - w.Len())
-	idx := 0
-	for g := range guide {
-		// Smallest threshold of bucket g.
-		rg := u128.U128{Hi: uint64(g) << (64 - gb)}.Rsh(lz)
-		for cum[idx].Leq(rg) {
-			idx++
-		}
-		guide[g] = int32(idx)
-	}
+	buildGuide(guide, cum, gb, lz)
 	for e := int64(0); e < m; e++ {
 		// For w within 64 bits Uint128n is the same Lemire multiply-shift
 		// draw the pre-u128 sampler inlined, consuming identical raw
@@ -350,6 +350,11 @@ func (s *Simulator) sampleWindowCategorical(vals []int64, w u128.U128, m, d int6
 		// resolved by the count slot, not a per-draw branch.
 		r := s.src.Uint128n(w)
 		idx := int(guide[r.Lsh(lz).Hi>>(64-gb)])
+		// The first scan step is branch-free (it goes either way about
+		// as often); a second step is rare.
+		_, b := bits.Sub64(r.Lo, cum[idx].Lo, 0)
+		_, b = bits.Sub64(r.Hi, cum[idx].Hi, b)
+		idx += int(1 - b)
 		for cum[idx].Leq(r) {
 			idx++
 		}
@@ -360,6 +365,146 @@ func (s *Simulator) sampleWindowCategorical(vals []int64, w u128.U128, m, d int6
 		adopts += c
 	}
 	return adopts
+}
+
+// buildGuide fills the categorical sampler's guide table (Chen's method)
+// for the non-decreasing cumulative weights cum, whose last entry is the
+// draw-space size w. Buckets are keyed by a threshold's top bits within
+// [0, w): with lz = w's leading-zero count, a threshold shifted left by lz
+// normalizes to the top of the 128-bit range, and its top gb bits select
+// the bucket, so bucket g's smallest threshold is ⌊g·2^(128−gb)/2^lz⌋ and
+// guide[g] is the first category whose cumulative weight exceeds it — a
+// correct scan start, because thresholds grow with the bucket index.
+//
+// The build takes one shift per category and none per bucket: exactly the
+// buckets g < G(c) = ⌊((c<<lz) − 1) / 2^(128−gb)⌋ + 1 have a smallest
+// threshold below a cumulative weight c >= 1 (and none for c = 0), so
+// guide[g] — the number of categories whose weight does not exceed bucket
+// g's smallest threshold — counts the categories with G <= g. One pass
+// tallies each category at its G, one running sum over the buckets turns
+// the tallies into those counts; neither has a data-dependent branch.
+// Buckets past G(w), which no draw reaches, point one past the last
+// category.
+func buildGuide(guide []int32, cum []u128.U128, gb, lz uint) {
+	clear(guide)
+	for _, c := range cum {
+		if c.IsZero() {
+			guide[0]++
+			continue
+		}
+		if g := c.Lsh(lz).Sub64(1).Hi>>(64-gb) + 1; g < uint64(len(guide)) {
+			guide[g]++
+		}
+	}
+	var run int32
+	for g, t := range guide {
+		run += t
+		guide[g] = run
+	}
+}
+
+// sampleWindowTree draws the same frozen-law window as
+// sampleWindowCategorical, draw for draw, without building anything: each
+// threshold r = Uint128n(w) is resolved by the dynamics' choose against the
+// frozen Fenwick tree — the adopt of FindSupport(⌊r/u⌋) when r < u·D, the
+// undecide descent at r − u·D otherwise — which selects exactly the
+// category the cumulative search returns for r. Cost is O(log k) per draw
+// and O(m) besides: batchCounts must be all zero on entry (batchClean), and
+// the opinions the window touched are listed, in first-touch order, in the
+// idle guide scratch so that feasibility, the r₂ update, the Fenwick apply
+// and the count reset (clearTouched) visit only them. It returns the adopt
+// total and the touched list.
+func (s *Simulator) sampleWindowTree(w u128.U128, m int64) (int64, []int32) {
+	k := s.tree.Len()
+	counts := s.batchCounts
+	if !s.batchClean {
+		clear(counts[:cap(counts)])
+		s.batchClean = true
+	}
+	touched := s.batchGuide[:0]
+	var adopts int64
+	for e := int64(0); e < m; e++ {
+		j, adopt := s.dyn.choose(s, s.src.Uint128n(w))
+		if counts[j] == 0 && counts[k+j] == 0 {
+			touched = append(touched, int32(j))
+		}
+		if adopt {
+			counts[j]++
+			adopts++
+		} else {
+			counts[k+j]++
+		}
+	}
+	return adopts, touched
+}
+
+// clearTouched zeroes the window counts of the touched opinions, restoring
+// the all-zero batchCounts the next tree window starts from.
+func (s *Simulator) clearTouched(touched []int32) {
+	k := s.tree.Len()
+	for _, j := range touched {
+		s.batchCounts[j] = 0
+		s.batchCounts[k+int(j)] = 0
+	}
+}
+
+// batchStepTree is batchStep for the auto kernel's tree windows: the same
+// frozen window law, feasibility halving, span draw and budget semantics,
+// consuming the same random stream, but with no O(k) pass — sampling,
+// feasibility, the exact r₂ update and the Fenwick point updates all cover
+// only the opinions the window touched.
+func (s *Simulator) batchStepTree(w u128.U128, m int64, budget u128.U128) (Event, bool) {
+	k := s.tree.Len()
+	s.ensureBatchScratch(k)
+	counts := s.batchCounts
+	for {
+		adopts, touched := s.sampleWindowTree(w, m)
+		feasible := true
+		for _, j := range touched {
+			nx := s.tree.Get(int(j)) + counts[j] - counts[k+int(j)]
+			if nx < s.dyn.supportFloor(s, int(j)) {
+				feasible = false
+				break
+			}
+		}
+		if !feasible {
+			s.clearTouched(touched)
+			m /= 2
+			if m < minAutoWindow {
+				return s.stepSkip(w, budget)
+			}
+			continue
+		}
+		// The span and budget check of batchStep, verbatim.
+		span := s.src.NegativeBinomialU128(m, w.Float64()*s.invNSq)
+		if !budget.IsZero() && budget.Sub(s.steps).Less(span) {
+			s.clearTouched(touched)
+			s.steps = budget
+			return Event{}, false
+		}
+		s.steps = satAdd(s.steps, span)
+		// r₂ moves by nx² − x² = delta·(x + nx) per touched opinion. Each
+		// subtraction is exact: r₂ still holds x² >= |delta|·(x + nx)
+		// when delta < 0. The result is the Σx² the full scan computes.
+		r2 := s.r2
+		for _, j := range touched {
+			delta := counts[j] - counts[k+int(j)]
+			counts[j], counts[k+int(j)] = 0, 0
+			if delta == 0 {
+				continue
+			}
+			x := s.tree.Get(int(j))
+			if delta > 0 {
+				r2 = r2.Add(u128.Mul64(uint64(delta), uint64(2*x+delta)))
+			} else {
+				r2 = r2.Sub(u128.Mul64(uint64(-delta), uint64(2*x+delta)))
+			}
+			s.tree.Add(int(j), delta)
+		}
+		s.r2 = r2
+		s.u += (m - adopts) - adopts
+		return Event{Kind: EventBatch, Opinion: -1, Interactions: s.steps, Count: m}, true
+	}
 }
 
 // batchStep samples one window of m productive events under the law frozen
@@ -509,11 +654,14 @@ func (s *Simulator) runLoopBatched(budget u128.U128, obs Watcher, stop func(*Sim
 		var ok bool
 		switch {
 		case s.kernel.auto:
-			if m < minAutoWindow {
+			k := int64(s.tree.Len())
+			switch {
+			case m < minAutoWindow:
 				ev, ok = s.stepSkip(w, budget)
-			} else {
-				categorical := m < autoCategoricalFactor*int64(s.tree.Len())
-				ev, ok = s.batchStep(w, m, budget, categorical)
+			case m*autoTreeDivisor < k:
+				ev, ok = s.batchStepTree(w, m, budget)
+			default:
+				ev, ok = s.batchStep(w, m, budget, m < autoCategoricalFactor*k)
 			}
 		case m < minBatchWindow:
 			ev, ok = s.stepSkip(w, budget)

@@ -45,9 +45,11 @@
 //
 //   - KernelAuto(tol) follows the batched kernel's window law but chooses
 //     the cheapest sampling strategy per window from a deterministic cost
-//     model over (m, k): exact stepping for tiny windows, per-event
-//     categorical draws against the frozen cumulative weights for windows
-//     up to a few multiples of k, and binomial chaining beyond. It closes
+//     model over (m, k): exact stepping for tiny windows, per-event draws
+//     against the frozen Fenwick tree for windows under about k/2 events
+//     (O(m·log k) per window, no O(k) pass), per-event categorical draws
+//     against the frozen cumulative weights for windows up to a few
+//     multiples of k, and binomial chaining beyond. It closes
 //     the small-n regime where windows never grow large enough for the
 //     chained sampler's O(k) setup to amortize (see docs/ARCHITECTURE.md,
 //     "Performance model").
@@ -70,6 +72,7 @@ package core
 
 import (
 	"fmt"
+	"math/bits"
 
 	"repro/internal/conf"
 	"repro/internal/fenwick"
@@ -260,12 +263,16 @@ type Simulator struct {
 	// Scratch buffers of the batched and auto kernels, allocated on first
 	// use: batchCounts holds a window's adopt counts (first k slots) and
 	// undecide counts (next k), batchCum the categorical sampler's 2k
-	// cumulative weights, batchGuide its draw-acceleration table.
+	// cumulative weights, batchGuide its draw-acceleration table (and the
+	// tree sampler's touched-opinion list). batchClean records that every
+	// slot of batchCounts' capacity is zero, the tree sampler's entry
+	// condition; the categorical and chained samplers clear it.
 	batchVals    []int64
 	batchCounts  []int64
 	batchWeights []float64
 	batchCum     []u128.U128
 	batchGuide   []int32
+	batchClean   bool
 }
 
 // Option configures a Simulator.
@@ -445,6 +452,27 @@ func (s *Simulator) undecide(i int) {
 	s.tree.Add(i, -1)
 	s.r2 = s.r2.Sub64(uint64(2*x - 1))
 	s.u++
+}
+
+// adoptThreshold maps r uniform over [0, u·D) to ⌊r/u⌋, uniform over
+// [0, D): an exact threshold for the support descent that selects the
+// opinion an undecided responder adopts. The quotient is below D <= n, so
+// r.Hi < u and one 128-by-64 division (bits.Div64) cannot overflow.
+func (s *Simulator) adoptThreshold(r u128.U128) int64 {
+	q, _ := bits.Div64(r.Hi, r.Lo, uint64(s.u))
+	return int64(q)
+}
+
+// applyChoice applies the productive event a dynamics' choose selected —
+// an adopt of opinion j or an undecide of it — and returns the event; the
+// interaction clock is not advanced here.
+func (s *Simulator) applyChoice(j int, adopt bool) Event {
+	if adopt {
+		s.adopt(j)
+		return Event{Kind: EventAdopt, Opinion: j, Count: 1}
+	}
+	s.undecide(j)
+	return Event{Kind: EventUndecide, Opinion: j, Count: 1}
 }
 
 // applyProductive samples and applies one productive event given r uniform

@@ -26,10 +26,12 @@ import (
 //     absorbed for the W = 0 classification). The exact kernel and the
 //     geometric-skipping clock are shared; only these hooks differ.
 //
-//   - The per-window law for the batched/auto kernels: the per-opinion
-//     undecide weights the frozen multinomial window uses, the support
-//     floor a sampled window must respect, and the drift divisor bounding
-//     |ΔW| per event (the tau-leaping leap condition's W term). Variants
+//   - The per-window law for the batched/auto kernels: the pure event
+//     selection (choose) that apply is built on and that the auto kernel's
+//     small windows run against the frozen tree, the per-opinion undecide
+//     weights the frozen multinomial window uses, the support floor a
+//     sampled window must respect, and the drift divisor bounding |ΔW| per
+//     event (the tau-leaping leap condition's W term). Variants
 //     without an honest window-law derivation return Batchable() == false
 //     and are restricted to the exact kernel by Variant.ValidateKernel and
 //     Simulator.Reset.
@@ -71,6 +73,13 @@ type Dynamics interface {
 	// again.
 	absorbed(s *Simulator) (Outcome, int)
 
+	// choose maps r uniform in [0, weight()) to the productive event it
+	// selects — opinion j and whether it is an adopt (true) or an undecide
+	// (false) — without mutating the simulator. apply is choose followed by
+	// the mutation, and the auto kernel's tree windows resolve every draw
+	// of a window with it against the frozen tree, so exact steps and
+	// windows share one selection. Batchable variants only.
+	choose(s *Simulator, r u128.U128) (j int, adopt bool)
 	// driftDivisor is the window law's |ΔW| bound per productive event in
 	// units of n: a window of tol·W/(driftDivisor·n) events keeps the
 	// relative drift of W below ~tol (see wDriftDivisor for the classic
@@ -81,10 +90,11 @@ type Dynamics interface {
 	// values the chained-binomial window sampler splits on. Batchable
 	// variants only.
 	fillUndecideWeights(s *Simulator, vals []int64, d int64, dst []float64)
-	// undecideWeightU returns opinion j's exact integer undecide weight at
-	// frozen support x, for the categorical window sampler's cumulative
-	// build. Batchable variants only.
-	undecideWeightU(s *Simulator, j int, x, d int64) u128.U128
+	// cumUndecide writes the running sums c + Σ_{i<=j} wᵢ of the exact
+	// integer undecide weights at the frozen supports vals into dst[j], for
+	// the categorical window sampler's cumulative build. Batchable variants
+	// only.
+	cumUndecide(s *Simulator, vals []int64, d int64, c u128.U128, dst []u128.U128)
 	// supportFloor returns the smallest admissible support of opinion j; a
 	// sampled window whose net deltas would cross it is resampled at half
 	// the size. Batchable variants only.
@@ -324,22 +334,19 @@ func (classicDynamics) weight(s *Simulator) u128.U128 {
 	return u128.Mul64(uint64(s.u), d).Add(u128.Mul64(d, d).Sub(s.r2))
 }
 
-func (classicDynamics) apply(s *Simulator, r u128.U128) Event {
+func (c classicDynamics) apply(s *Simulator, r u128.U128) Event {
+	return s.applyChoice(c.choose(s, r))
+}
+
+func (classicDynamics) choose(s *Simulator, r u128.U128) (int, bool) {
 	d := s.n - s.u
 	wDown := u128.Mul64(uint64(s.u), uint64(d))
 	if r.Less(wDown) {
-		// Undecided responder adopts opinion j ∝ xⱼ. r is uniform over
-		// [0, u·D); r/u is uniform over [0, D), an exact threshold for
-		// the support descent. The quotient is below D <= n, so its low
-		// word carries the whole value.
-		j := s.tree.FindSupport(int64(r.Div64(uint64(s.u)).Lo))
-		s.adopt(j)
-		return Event{Kind: EventAdopt, Opinion: j, Count: 1}
+		// Undecided responder adopts opinion j ∝ xⱼ.
+		return s.tree.FindSupport(s.adoptThreshold(r)), true
 	}
 	// Decided responder i ∝ xᵢ(D−xᵢ) becomes undecided.
-	i := s.tree.FindWeighted(d, r.Sub(wDown))
-	s.undecide(i)
-	return Event{Kind: EventUndecide, Opinion: i, Count: 1}
+	return s.tree.FindWeighted(d, r.Sub(wDown)), false
 }
 
 func (classicDynamics) terminal(s *Simulator) (Outcome, int, bool) {
@@ -364,8 +371,11 @@ func (classicDynamics) fillUndecideWeights(s *Simulator, vals []int64, d int64, 
 	}
 }
 
-func (classicDynamics) undecideWeightU(s *Simulator, j int, x, d int64) u128.U128 {
-	return u128.Mul64(uint64(x), uint64(d-x))
+func (classicDynamics) cumUndecide(s *Simulator, vals []int64, d int64, c u128.U128, dst []u128.U128) {
+	for j, x := range vals {
+		c = c.Add(u128.Mul64(uint64(x), uint64(d-x)))
+		dst[j] = c
+	}
 }
 
 func (classicDynamics) supportFloor(s *Simulator, j int) int64 { return 0 }
@@ -430,22 +440,22 @@ func (stubbornDynamics) weight(s *Simulator) u128.U128 {
 	return u128.Mul64(uint64(s.u), uint64(d)).Add(s.tree.TotalWeightedStubborn(d))
 }
 
-func (stubbornDynamics) apply(s *Simulator, r u128.U128) Event {
+func (st stubbornDynamics) apply(s *Simulator, r u128.U128) Event {
+	return s.applyChoice(st.choose(s, r))
+}
+
+func (stubbornDynamics) choose(s *Simulator, r u128.U128) (int, bool) {
 	d := s.n - s.u
 	wDown := u128.Mul64(uint64(s.u), uint64(d))
 	if r.Less(wDown) {
 		// The adopt channel is the classic one: stubborn agents are
 		// ordinary initiators.
-		j := s.tree.FindSupport(int64(r.Div64(uint64(s.u)).Lo))
-		s.adopt(j)
-		return Event{Kind: EventAdopt, Opinion: j, Count: 1}
+		return s.tree.FindSupport(s.adoptThreshold(r)), true
 	}
 	// Free decided responder i ∝ (xᵢ−bᵢ)(D−xᵢ) becomes undecided. The
 	// descent never selects an opinion at its floor (zero weight), so the
 	// xᵢ >= bᵢ invariant is preserved.
-	i := s.tree.FindWeightedStubborn(d, r.Sub(wDown))
-	s.undecide(i)
-	return Event{Kind: EventUndecide, Opinion: i, Count: 1}
+	return s.tree.FindWeightedStubborn(d, r.Sub(wDown)), false
 }
 
 // terminal stops at the dominance event: some opinion's support has reached
@@ -503,8 +513,11 @@ func (stubbornDynamics) fillUndecideWeights(s *Simulator, vals []int64, d int64,
 	}
 }
 
-func (stubbornDynamics) undecideWeightU(s *Simulator, j int, x, d int64) u128.U128 {
-	return u128.Mul64(uint64(x-s.tree.Stubborn(j)), uint64(d-x))
+func (stubbornDynamics) cumUndecide(s *Simulator, vals []int64, d int64, c u128.U128, dst []u128.U128) {
+	for j, x := range vals {
+		c = c.Add(u128.Mul64(uint64(x-s.tree.Stubborn(j)), uint64(d-x)))
+		dst[j] = c
+	}
 }
 
 // supportFloor pins each opinion at its stubborn count: a window whose net
@@ -681,7 +694,11 @@ func (unconstrainedDynamics) fillUndecideWeights(*Simulator, []int64, int64, []f
 	panic("core: unconstrained dynamics has no window law")
 }
 
-func (unconstrainedDynamics) undecideWeightU(*Simulator, int, int64, int64) u128.U128 {
+func (unconstrainedDynamics) choose(*Simulator, u128.U128) (int, bool) {
+	panic("core: unconstrained dynamics has no window law")
+}
+
+func (unconstrainedDynamics) cumUndecide(*Simulator, []int64, int64, u128.U128, []u128.U128) {
 	panic("core: unconstrained dynamics has no window law")
 }
 

@@ -23,7 +23,11 @@
 // every subtraction removes a quantity its minuend provably contains.
 package fenwick
 
-import "repro/internal/u128"
+import (
+	"math/bits"
+
+	"repro/internal/u128"
+)
 
 // Tree is a Fenwick tree over n int64 values, all initially zero.
 // The zero value is not usable; construct with New or FromSlice.
@@ -282,16 +286,27 @@ func (d *Dual) FindWeighted(dTotal int64, r u128.U128) int {
 		next := pos + step
 		if next <= d.n {
 			w := u128.Mul64(uint64(dTotal), uint64(d.sx[next])).Sub(d.sx2[next])
-			if w.Leq(r) {
-				pos = next
-				r = r.Sub(w)
-			}
+			pos, r = descend(pos, step, r, w)
 		}
 	}
 	if pos >= d.n {
 		panic("fenwick: FindWeighted threshold >= TotalWeighted")
 	}
 	return pos
+}
+
+// descend is one step of a weighted Fenwick descent: when the node weight w
+// is at most the remaining threshold r, the descent moves past the node
+// (pos+step) and r drops by w; otherwise both stay. It is branch-free —
+// the direction is a coin flip a branch predictor cannot learn — with the
+// comparison read off the borrow of r − w.
+func descend(pos, step int, r, w u128.U128) (int, u128.U128) {
+	lo, b := bits.Sub64(r.Lo, w.Lo, 0)
+	hi, b := bits.Sub64(r.Hi, w.Hi, b)
+	keep := b - 1 // all ones when w <= r
+	r.Lo ^= (r.Lo ^ lo) & keep
+	r.Hi ^= (r.Hi ^ hi) & keep
+	return pos + step&int(keep), r
 }
 
 // FindSupport returns the smallest index i such that the prefix sum of the
@@ -305,9 +320,16 @@ func (d *Dual) FindSupport(r int64) int {
 	pos := 0
 	for step := 1 << d.log; step > 0; step >>= 1 {
 		next := pos + step
-		if next <= d.n && d.sx[next] <= r {
-			pos = next
-			r -= d.sx[next]
+		if next <= d.n {
+			// Branch-free step: the direction is a coin flip a branch
+			// predictor cannot learn.
+			w := d.sx[next]
+			take := int64(0)
+			if w <= r {
+				take = -1
+			}
+			pos += step & int(take)
+			r -= w & take
 		}
 	}
 	if pos >= d.n {
@@ -452,11 +474,7 @@ func (d *Dual) FindWeightedStubborn(dTotal int64, r u128.U128) int {
 		if next <= d.n {
 			pos128 := u128.Mul64(uint64(dTotal), uint64(d.sx[next])).Add(d.sbx[next])
 			neg128 := d.sx2[next].Add(u128.Mul64(uint64(dTotal), uint64(d.sb[next])))
-			w := pos128.Sub(neg128)
-			if w.Leq(r) {
-				pos = next
-				r = r.Sub(w)
-			}
+			pos, r = descend(pos, step, r, pos128.Sub(neg128))
 		}
 	}
 	if pos >= d.n {

@@ -111,7 +111,7 @@ type Option func(*Tracker)
 // WithAlpha sets the significance constant α in the phase-2 threshold
 // α√(n ln n). The default is 1.
 func WithAlpha(alpha float64) Option {
-	return func(tr *Tracker) { tr.alpha = alpha }
+	return func(tr *Tracker) { tr.alpha, tr.thrN = alpha, -1 }
 }
 
 // WithCheckInterval makes the tracker evaluate the (O(k)) end conditions
@@ -135,6 +135,10 @@ type Tracker struct {
 	next  int // 0-based index of the next phase to detect
 	times Times
 	buf   []int64
+
+	// thr caches the phase-2 threshold for population thrN (-1: none).
+	thr  float64
+	thrN int64
 }
 
 // NewTracker returns a tracker for a run over n agents and k opinions.
@@ -143,6 +147,7 @@ func NewTracker(opts ...Option) *Tracker {
 		alpha: 1,
 		every: 1,
 		times: NewTimes(),
+		thrN:  -1,
 	}
 	for _, opt := range opts {
 		opt(tr)
@@ -221,14 +226,26 @@ func (tr *Tracker) check(v View) {
 	}
 }
 
+// threshold returns the phase-2 threshold α√(n ln n) for a run over n
+// agents. It is computed once per (n, α) instead of taking a square root
+// and a logarithm on every check, which under the windowed kernels is every
+// window; WithAlpha drops the cached value, so a Reset that changes α
+// recomputes it.
+func (tr *Tracker) threshold(n int64) float64 {
+	if n != tr.thrN {
+		tr.thr = tr.alpha * math.Sqrt(float64(n)*math.Log(float64(n)))
+		tr.thrN = n
+	}
+	return tr.thr
+}
+
 // condition evaluates the end condition of 0-based phase p.
 func (tr *Tracker) condition(p int, n, u, first, second int64) bool {
 	switch p {
 	case 0:
 		return 2*u >= n-first
 	case 1:
-		thr := tr.alpha * math.Sqrt(float64(n)*math.Log(float64(n)))
-		return float64(first-second) >= thr
+		return float64(first-second) >= tr.threshold(n)
 	case 2:
 		return first >= 2*second
 	case 3:
